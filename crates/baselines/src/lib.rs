@@ -79,6 +79,11 @@ impl CpuModel {
     /// Like [`CpuModel::graph_scalar_ops`], split into
     /// `(application, bootstrapping)` scalar operations by node phase —
     /// the blue/red split of Fig. 3.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `policy` has no keyswitch algorithm at some node's level
+    /// (see [`KsPolicy::try_algorithm`]).
     pub fn graph_scalar_ops_by_phase(graph: &HeGraph, n: usize, policy: &KsPolicy) -> (f64, f64) {
         let mut app = 0f64;
         let mut boot = 0f64;
@@ -96,7 +101,9 @@ impl CpuModel {
                     2.0 * (*to as f64 - from) * from * nf + 2.0 * *to as f64 * ntt_muls
                 }
                 HeOp::MulCt(..) | HeOp::Rotate(..) | HeOp::Conjugate(..) => {
-                    let alg = policy.algorithm(n, node.level, 28);
+                    let alg = policy
+                        .try_algorithm(n, node.level, 28)
+                        .expect("the keyswitch policy is satisfiable at this point");
                     let ks = match alg {
                         KsAlgorithm::Boosted(t) => cost::boosted_keyswitch_ops(node.level, t),
                         KsAlgorithm::Standard => cost::standard_keyswitch_ops(node.level),

@@ -182,7 +182,10 @@ fn run_op_counts(cfg: &Config, n: usize, limbs: usize, bits: u32) {
     kernels.push((
         "keyswitch_standard",
         measure(&mut || {
-            std::hint::black_box(ctx.keyswitch(&msg, &std_key));
+            std::hint::black_box(
+                ctx.try_keyswitch(&msg, &std_key)
+                    .expect("input is an NTT-form poly over the ciphertext chain"),
+            );
         }),
         expected_standard_keyswitch(limbs),
     ));
@@ -197,7 +200,10 @@ fn run_op_counts(cfg: &Config, n: usize, limbs: usize, bits: u32) {
         kernels.push((
             name,
             measure(&mut || {
-                std::hint::black_box(ctx.keyswitch(&msg, &key));
+                std::hint::black_box(
+                    ctx.try_keyswitch(&msg, &key)
+                        .expect("input is an NTT-form poly over the ciphertext chain"),
+                );
             }),
             expected_boosted_keyswitch(limbs, digits),
         ));
@@ -205,7 +211,10 @@ fn run_op_counts(cfg: &Config, n: usize, limbs: usize, bits: u32) {
     kernels.push((
         "rescale",
         measure(&mut || {
-            std::hint::black_box(ctx.rescale(&ct));
+            std::hint::black_box(
+                ctx.try_rescale(&ct)
+                    .expect("ciphertext has a level left to rescale"),
+            );
         }),
         expected_rescale(limbs),
     ));
@@ -217,21 +226,33 @@ fn run_op_counts(cfg: &Config, n: usize, limbs: usize, bits: u32) {
     kernels.push((
         "rotate",
         measure(&mut || {
-            std::hint::black_box(ctx.rotate(&ct, 1, &rot));
+            std::hint::black_box(
+                ctx.try_rotate(&ct, 1, &rot)
+                    .expect("the rotation key matches the step"),
+            );
         }),
         None,
     ));
     kernels.push((
         "mul_relin",
         measure(&mut || {
-            std::hint::black_box(ctx.mul(&ct, &ct, &relin));
+            std::hint::black_box(
+                ctx.try_mul(&ct, &ct, &relin)
+                    .expect("operands share a level and the relin key fits the context"),
+            );
         }),
         None,
     ));
     kernels.push((
         "bootstrap_step",
         measure(&mut || {
-            std::hint::black_box(ctx.rescale(&ctx.square(&ct, &relin)));
+            std::hint::black_box(
+                ctx.try_rescale(
+                    &ctx.try_square(&ct, &relin)
+                        .expect("the relin key fits the context"),
+                )
+                .expect("ciphertext has a level left to rescale"),
+            );
         }),
         None,
     ));
@@ -484,19 +505,28 @@ fn main() {
         results.push((
             "keyswitch",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.keyswitch(&msg, &relin));
+                std::hint::black_box(
+                    ctx.try_keyswitch(&msg, &relin)
+                        .expect("input is an NTT-form poly over the ciphertext chain"),
+                );
             }),
         ));
         results.push((
             "rotate",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.rotate(&ct, 1, &rot));
+                std::hint::black_box(
+                    ctx.try_rotate(&ct, 1, &rot)
+                        .expect("the rotation key matches the step"),
+                );
             }),
         ));
         results.push((
             "rescale",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.rescale(&ct));
+                std::hint::black_box(
+                    ctx.try_rescale(&ct)
+                        .expect("ciphertext has a level left to rescale"),
+                );
             }),
         ));
         // Hoisted vs naive batch rotation: the same 8 rotations of one
@@ -516,7 +546,10 @@ fn main() {
                 "rotate_naive_x8",
                 time_ns(cfg.smoke, || {
                     for (&s, k) in steps.iter().zip(&keys) {
-                        std::hint::black_box(ctx.rotate(&ct, s, k));
+                        std::hint::black_box(
+                            ctx.try_rotate(&ct, s, k)
+                                .expect("the rotation key matches the step"),
+                        );
                     }
                 }),
             ));
@@ -539,7 +572,9 @@ fn main() {
                     keys.iter().map(KeySwitchKey::to_compact).collect();
                 let cache = HintCache::new(1 << 30);
                 for ck in &compacts {
-                    cache.prefetch(&ctx, ck).expect("warm hint cache");
+                    cache
+                        .prefetch(HintCache::hint_id(&ctx, ck), || ck.expand(&ctx))
+                        .expect("warm hint cache");
                 }
                 results.push((
                     "rotate_hoisted_x8_cached",
@@ -625,7 +660,13 @@ fn main() {
         results.push((
             "bootstrap_step",
             time_ns(cfg.smoke, || {
-                std::hint::black_box(ctx.rescale(&ctx.square(&ct, &relin)));
+                std::hint::black_box(
+                    ctx.try_rescale(
+                        &ctx.try_square(&ct, &relin)
+                            .expect("the relin key fits the context"),
+                    )
+                    .expect("ciphertext has a level left to rescale"),
+                );
             }),
         ));
         // The same step with the relin hint fetched warm from a `HintCache`
@@ -634,12 +675,24 @@ fn main() {
         {
             let relin_compact = relin.to_compact();
             let cache = HintCache::new(1 << 30);
-            cache.prefetch(&ctx, &relin_compact).expect("warm hint cache");
+            cache
+                .prefetch(HintCache::hint_id(&ctx, &relin_compact), || {
+                    relin_compact.expand(&ctx)
+                })
+                .expect("warm hint cache");
             results.push((
                 "bootstrap_step_cached",
                 time_ns(cfg.smoke, || {
-                    let r = cache.get_or_expand(&ctx, &relin_compact).expect("warm relin hint");
-                    std::hint::black_box(ctx.rescale(&ctx.square(&ct, r.as_ref())));
+                    let r = cache
+                        .get_or_expand(&ctx, &relin_compact)
+                        .expect("warm relin hint");
+                    std::hint::black_box(
+                        ctx.try_rescale(
+                            &ctx.try_square(&ct, r.as_ref())
+                                .expect("the relin key fits the context"),
+                        )
+                        .expect("ciphertext has a level left to rescale"),
+                    );
                 }),
             ));
         }
@@ -678,7 +731,9 @@ fn main() {
                 .sum();
             let cache = HintCache::new(eager_bytes / 8);
             for ck in &compacts {
-                cache.prefetch(&ctx, ck).expect("hot tier");
+                cache
+                    .prefetch(HintCache::hint_id(&ctx, ck), || ck.expand(&ctx))
+                    .expect("hot tier");
             }
             let hot_bytes = cache.stats().bytes_resident;
             results.push(("key_memory_eager_bytes", eager_bytes as f64));

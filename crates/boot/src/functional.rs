@@ -25,8 +25,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use cl_ckks::{
-    Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult, GuardrailPolicy,
-    HintCache, HintId, KeySwitchKey, Plaintext, SecretKey,
+    CacheWeight, Ciphertext, CkksContext, CompactKeySwitchKey, FheError, FheResult,
+    GuardrailPolicy, HintCache, HintId, KeySwitchKey, Plaintext, SecretKey,
 };
 use cl_math::Complex;
 use rand::Rng;
@@ -282,6 +282,13 @@ impl BootstrapKeys {
             slots,
             cache: None,
         })
+    }
+}
+
+/// A server's key cache charges each parsed bundle its compact footprint.
+impl CacheWeight for BootstrapKeys {
+    fn cache_bytes(&self) -> usize {
+        self.compact_resident_bytes()
     }
 }
 
@@ -773,7 +780,8 @@ pub fn try_bsgs_transform(
     // The babies are done with their hints; warm the next hoisted-rotation
     // group (the giant steps) before the inner sums run.
     for &jb in &giant_steps {
-        cache.prefetch(ctx, keys.rot_compact(jb)?)?;
+        let compact = keys.rot_compact(jb)?;
+        cache.prefetch(HintCache::hint_id(ctx, compact), || compact.expand(ctx))?;
     }
     let mut babies: HashMap<i64, &Ciphertext> =
         nonzero.iter().copied().zip(rotated.iter()).collect();
@@ -1275,22 +1283,6 @@ impl Bootstrapper {
             }),
         }
     }
-
-    /// Panicking convenience wrapper around [`Bootstrapper::try_bootstrap`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any condition `try_bootstrap` reports as an error.
-    #[must_use]
-    pub fn bootstrap(
-        &self,
-        ctx: &CkksContext,
-        ct: &Ciphertext,
-        keys: &BootstrapKeys,
-    ) -> Ciphertext {
-        self.try_bootstrap(ctx, ct, keys)
-            .unwrap_or_else(|e| panic!("bootstrap: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -1651,7 +1643,9 @@ mod tests {
         let pt = ctx.encode(&vals, ctx.default_scale(), 1);
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
         assert_eq!(ct.level(), 1);
-        let refreshed = booter.bootstrap(&ctx, &ct, &keys);
+        let refreshed = booter
+            .try_bootstrap(&ctx, &ct, &keys)
+            .expect("keys and input fit the bootstrapper");
         assert!(
             refreshed.level() > ct.level() + 2,
             "bootstrap must refresh the budget: got level {}",

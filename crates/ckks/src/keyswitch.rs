@@ -335,19 +335,6 @@ impl CkksContext {
         })
     }
 
-    /// Applies a keyswitch to a single polynomial (panicking twin of
-    /// [`CkksContext::try_keyswitch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is not in NTT form or not over a prefix of the
-    /// ciphertext-modulus chain.
-    #[must_use]
-    pub fn keyswitch(&self, c: &RnsPoly, ksk: &KeySwitchKey) -> (RnsPoly, RnsPoly) {
-        self.try_keyswitch(c, ksk)
-            .unwrap_or_else(|e| panic!("keyswitch: {e}"))
-    }
-
     /// Generates a relinearization key (keyswitch key for `s^2 → s`).
     pub fn relin_keygen<R: Rng + ?Sized>(
         &self,
@@ -629,7 +616,9 @@ mod tests {
             .collect();
         let mut msg = rns.from_signed_coeffs(&signed, &qb);
         rns.to_ntt(&mut msg);
-        let (ks0, ks1) = c.keyswitch(&msg, &ksk);
+        let (ks0, ks1) = c
+            .try_keyswitch(&msg, &ksk)
+            .expect("input is an NTT-form poly over the ciphertext chain");
         // Decrypt: ks0 + ks1*s should equal msg*s' up to small noise.
         let s = rns.restrict(&sk.s, &qb);
         let sp = rns.restrict(&s_prime, &qb);
@@ -694,7 +683,9 @@ mod tests {
             let signed: Vec<i64> = (0..128).map(|i| (i % 17) - 8).collect();
             let mut msg = rns.from_signed_coeffs(&signed, &qb);
             rns.to_ntt(&mut msg);
-            let (ks0, ks1) = c.keyswitch(&msg, &ksk);
+            let (ks0, ks1) = c
+                .try_keyswitch(&msg, &ksk)
+                .expect("input is an NTT-form poly over the ciphertext chain");
             let s = rns.restrict(&sk.s, &qb);
             let sp = rns.restrict(&s_prime, &qb);
             let mut got = rns.mul(&ks1, &s);

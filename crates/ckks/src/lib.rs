@@ -14,7 +14,8 @@
 //! - seeded generation of the pseudo-random half of each keyswitch hint
 //!   (the software analogue of the KSHGen unit, Sec. 5.2), with a compact
 //!   resident key form ([`CompactKeySwitchKey`]) and a bytes-bounded
-//!   hot-hint cache ([`HintCache`]) that materializes hints lazily,
+//!   hot-hint cache ([`HintCache`], an instance of the one cache core
+//!   [`BoundedCache`]) that materializes hints lazily,
 //! - the security model mapping `(N, security level)` to a maximum
 //!   ciphertext-modulus width (our stand-in for the LWE estimator),
 //! - a fallible `try_*` evaluation API with a unified error type
@@ -52,6 +53,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod bgv;
+mod cache;
 mod ciphertext;
 mod context;
 mod error;
@@ -66,6 +68,7 @@ mod params;
 pub mod security;
 pub mod serialize;
 
+pub use cache::{BoundedCache, CacheStats, CacheWeight};
 pub use ciphertext::{Ciphertext, Plaintext};
 pub use context::{CkksContext, CkksError, GuardrailPolicy};
 pub use error::{FheError, FheResult};

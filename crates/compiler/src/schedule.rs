@@ -97,19 +97,6 @@ impl KsPolicy {
             }
         }
     }
-
-    /// The algorithm chosen at level `l` for ring degree `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `(n, l)` point is unreachable at the policy's security
-    /// target (see [`KsPolicy::try_algorithm`]).
-    pub fn algorithm(&self, n: usize, l: usize, word_bits: u32) -> KsAlgorithm {
-        match self.try_algorithm(n, l, word_bits) {
-            Ok(a) => a,
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
 
 /// Compilation options.
@@ -369,6 +356,37 @@ mod tests {
     }
 
     #[test]
+    fn capacity_bound_evictions_are_deterministic() {
+        // Sixteen squares summed pairwise: the two operands of each add
+        // share a next use and a size, so under a small register file the
+        // eviction scores tie and only the victim tie-break orders them.
+        let mut g = HeGraph::new();
+        let mut layer: Vec<NodeId> = (0..16)
+            .map(|_| {
+                let x = g.input(20);
+                let sq = g.mul_ct(x, x);
+                g.rescale(sq)
+            })
+            .collect();
+        while layer.len() > 1 {
+            layer = layer.chunks(2).map(|p| g.add(p[0], p[1])).collect();
+        }
+        g.output(layer[0]);
+        let arch = ArchConfig::craterlake().with_rf_bytes(64 << 20);
+        let opts = CompileOptions::paper_default();
+        let runs: Vec<Stats> = (0..3).map(|_| compile_and_run(&g, &arch, &opts)).collect();
+        assert!(
+            runs[0].evictions_dirty > 0,
+            "the graph must be capacity-bound"
+        );
+        for r in &runs[1..] {
+            assert_eq!(r.evictions, runs[0].evictions);
+            assert_eq!(r.evictions_dirty, runs[0].evictions_dirty);
+            assert_eq!(r.dirty_evict_log, runs[0].dirty_evict_log);
+        }
+    }
+
+    #[test]
     fn ksh_reuse_across_repeated_rotations() {
         // 20 rotations by the same amount at one level: the hint loads once.
         let mut g = HeGraph::new();
@@ -476,13 +494,25 @@ mod tests {
     #[test]
     fn policy_picks_more_digits_at_high_levels() {
         let p = KsPolicy::SecurityDriven(SecurityLevel::Bits80);
-        let low = p.algorithm(1 << 16, 30, 28);
-        let high = p.algorithm(1 << 16, 60, 28);
+        let low = p
+            .try_algorithm(1 << 16, 30, 28)
+            .expect("the keyswitch policy is satisfiable at this point");
+        let high = p
+            .try_algorithm(1 << 16, 60, 28)
+            .expect("the keyswitch policy is satisfiable at this point");
         assert_eq!(low, KsAlgorithm::Boosted(1));
         assert_eq!(high, KsAlgorithm::Boosted(2));
         let f1 = KsPolicy::BestPerLevel(SecurityLevel::Bits80);
-        assert_eq!(f1.algorithm(1 << 16, 8, 28), KsAlgorithm::Standard);
-        assert!(matches!(f1.algorithm(1 << 16, 40, 28), KsAlgorithm::Boosted(_)));
+        assert_eq!(
+            f1.try_algorithm(1 << 16, 8, 28)
+                .expect("the keyswitch policy is satisfiable at this point"),
+            KsAlgorithm::Standard
+        );
+        assert!(matches!(
+            f1.try_algorithm(1 << 16, 40, 28)
+                .expect("the keyswitch policy is satisfiable at this point"),
+            KsAlgorithm::Boosted(_)
+        ));
     }
 
     #[test]

@@ -133,12 +133,14 @@ impl Machine {
             // dirty intermediates as costlier to displace (eviction writes
             // them back AND reloading costs a second transfer), matching
             // the paper's compiler preference for evicting clean,
-            // memory-backed operands like hints and weights.
+            // memory-backed operands like hints and weights. Remaining ties
+            // go to the lowest (oldest) id, so the choice never depends on
+            // the value table's hash order.
             let victim = self
                 .values
                 .iter()
                 .filter(|(_, v)| v.resident)
-                .max_by(|(_, a), (_, b)| {
+                .max_by(|(a_id, a), (b_id, b)| {
                     let score = |v: &ValueState| {
                         if v.next_use == u32::MAX {
                             // Dead (or dying within the current op): free
@@ -155,6 +157,7 @@ impl Machine {
                         .partial_cmp(&score(b))
                         .expect("eviction scores are distances or +inf, never NaN")
                         .then(a.words.cmp(&b.words))
+                        .then(b_id.cmp(a_id))
                 })
                 .map(|(id, _)| *id)
                 .expect("capacity exceeded but nothing resident");

@@ -18,8 +18,9 @@
 //!   executor's restore-and-retry, metered by a per-tenant retry budget;
 //! - tenant isolation: per-tenant params fingerprints (checked at
 //!   admission *and* on every deep parse), per-tenant bytes-bounded
-//!   [`KeyCache`]s of compact key bundles (materialized hints share the
-//!   process-wide `cl_ckks::HintCache` across tenants),
+//!   caches of compact key bundles (the same `cl_ckks::BoundedCache`
+//!   core as the process-wide `cl_ckks::HintCache` that materialized
+//!   hints share across tenants),
 //!   and disjoint per-`(tenant, worker)` checkpoint directories guarded
 //!   by the `CheckpointStore` owner lock;
 //! - structured outcomes: every failure maps to a stable
@@ -59,4 +60,4 @@ pub use job::{Blob, JobId, JobOutcome, JobSpec, OutcomeCode};
 pub use journal::{FsyncPolicy, Journal, JournalReplay, ReplayedJob, ReplayedOutcome};
 pub use queue::{AdmissionQueue, ShedReason};
 pub use server::{JobHandle, JobServer, RecoveryReport, ServerConfig, TenantSetup};
-pub use tenant::{KeyCache, KeyCacheStats, TenantReport, TenantState};
+pub use tenant::{TenantReport, TenantState};

@@ -44,7 +44,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cl_boot::Bootstrapper;
+use cl_boot::{BootstrapKeys, Bootstrapper};
 use cl_ckks::serialize::{peek_header, ObjectTag};
 use cl_ckks::{CkksContext, FheError, FheResult, GuardrailPolicy};
 use cl_runtime::{
@@ -1084,9 +1084,13 @@ fn run_attempts(
     let input = ctx
         .try_deserialize_ciphertext(&job.spec.input_blob)
         .map_err(|e| classify(&e))?;
+    // Parse outside the cache lock: deserialization verifies every nested
+    // key and dominates the cost; other jobs keep hitting the cache.
     let keys = tenant
         .keys
-        .get_or_load_with_digest(ctx, &job.spec.key_blob, job.spec.key_blob.digest())
+        .get_or_load(job.spec.key_blob.digest(), || {
+            BootstrapKeys::try_deserialize(ctx, &job.spec.key_blob)
+        })
         .map_err(|e| classify(&e))?;
 
     // Disjoint per-(tenant, job) directory: the CheckpointStore owner
@@ -1179,7 +1183,6 @@ fn run_attempts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cl_boot::BootstrapKeys;
     use cl_ckks::{CkksParams, KeySwitchKind};
     use cl_runtime::PipelineOp;
     use rand::SeedableRng;

@@ -50,9 +50,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         // two_minus_x = 2 - x, computed as plaintext constant minus ct.
         let two = ctx.encode(&vec![2.0; slots], ct.scale(), ct.level());
-        let neg = ctx.neg_ct(&ct);
-        let two_minus = ctx.add_plain(&neg, &two);
-        ct = ctx.rescale(&ctx.mul(&ct, &two_minus, &relin));
+        let neg = ctx.try_neg_ct(&ct).expect("operand passes the guardrails");
+        let two_minus = ctx
+            .try_add_plain(&neg, &two)
+            .expect("plaintext matches the ciphertext's level and scale");
+        ct = ctx
+            .try_rescale(
+                &ctx.try_mul(&ct, &two_minus, &relin)
+                    .expect("operands share a level and the relin key fits the context"),
+            )
+            .expect("ciphertext has a level left to rescale");
         for t in truth.iter_mut() {
             *t = *t * (2.0 - *t);
         }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate.
 #
-#  1. Release build of the whole workspace.
-#  2. Full test suite.
+#  1. Release build of every workspace target (libraries, bins, examples,
+#     tests).
+#  2. Full workspace test suite, plus the standalone benchmark package's
+#     tests.
 #  3. Fault-recovery smoke: a bootstrapped pipeline under a fixed-seed
 #     fault plan must converge, with >= 1 recorded recovery, to the clean
 #     run's bit-identical output (examples/fault_recovery_smoke.rs).
@@ -14,17 +16,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
-cargo build --release
+cargo build --release --workspace --all-targets
 
 echo "== tier-1: tests =="
-cargo test -q
+cargo test -q --workspace
 
 echo "== tier-1: tests (forced scalar backend) =="
 # Every SIMD backend must be bit-exact with the portable scalar reference.
 # Rerunning the suite with CL_BACKEND=scalar pins the dispatcher to the
 # reference kernels, so a backend-specific miscompare fails one of the two
 # passes instead of hiding behind whichever backend the host auto-selects.
-CL_BACKEND=scalar cargo test -q
+CL_BACKEND=scalar cargo test -q --workspace
+
+echo "== tier-1: benchmark package tests =="
+# perfbench is its own Cargo workspace driving the crates' public APIs; an
+# API change that breaks the benchmark fails here rather than at bench time.
+cargo test -q --release --manifest-path perfbench/Cargo.toml
 
 echo "== tier-1: trace-disabled tests =="
 # The workspace test run lights the `trace` feature through the root

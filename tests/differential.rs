@@ -17,9 +17,10 @@
 //!   and re-expansion mid-pipeline.
 //!
 //! Thread-count mutation is process-global, so every test that touches it
-//! serializes on [`THREADS`].
+//! serializes on [`THREADS`]. The op counters are process-global too, so a
+//! test comparing counter deltas runs alone (see [`COUNTERS`]).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use cl_boot::{try_bsgs_transform, BootstrapKeys, PrecomputedTransform};
 use cl_ckks::{Ciphertext, CkksContext, CkksParams, KeySwitchKey, KeySwitchKind};
@@ -31,6 +32,19 @@ use rand::{Rng, SeedableRng};
 /// Guards the process-global rayon thread-count while a differential pair
 /// runs. Poisoning is irrelevant — the guard only sequences tests.
 static THREADS: Mutex<()> = Mutex::new(());
+
+/// Every test in this binary holds this for its whole body: shared by
+/// default, exclusively when it compares op-counter deltas, so no other
+/// test's work (set-up included) lands inside the measured window.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn counters_shared() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(|p| p.into_inner())
+}
+
+fn counters_exclusive() -> RwLockWriteGuard<'static, ()> {
+    COUNTERS.write().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Runs `f` once with 1 thread and once with `n` threads, returning both
 /// results, with the global thread count restored to 1 afterwards.
@@ -85,6 +99,7 @@ proptest! {
         limbs in 1usize..7,
         ops in proptest::collection::vec(0u8..6, 1..12),
     ) {
+        let _counters = counters_shared();
         let ctx = rns_ctx(1 << n_log);
         let basis = ctx.q_basis(limbs);
         let (serial, parallel) = serial_vs_parallel(4, || {
@@ -102,6 +117,7 @@ proptest! {
     /// bit-for-bit at production-like shapes.
     #[test]
     fn lazy_ntt_matches_strict_large(seed in any::<u64>()) {
+        let _counters = counters_shared();
         for n in [1usize << 10, 1 << 12] {
             let q = cl_math::generate_ntt_primes(n, 59, 1).expect("59-bit prime")[0];
             let table = NttTable::cached(n, q).expect("NTT-friendly prime");
@@ -149,6 +165,7 @@ proptest! {
         digits in 1usize..3,
         raw_steps in proptest::collection::vec(-8i64..9, 1..5),
     ) {
+        let _counters = counters_shared();
         // Map the raw draws to nonzero rotation steps (0 needs no key).
         let steps: Vec<i64> = raw_steps.iter().map(|&s| if s == 0 { 1 } else { s }).collect();
         let run = || {
@@ -198,6 +215,7 @@ proptest! {
         seed in any::<u64>(),
         raw_idx in proptest::collection::vec(0i64..64, 1..6),
     ) {
+        let _counters = counters_shared();
         let mut diag_idx = raw_idx.clone();
         diag_idx.sort_unstable();
         diag_idx.dedup();
@@ -283,6 +301,7 @@ proptest! {
 /// byte-identical ciphertexts and identical decodes at 1 vs 4 threads.
 #[test]
 fn ckks_pipeline_thread_invariant() {
+    let _counters = counters_shared();
     let run = || {
         let params = CkksParams::builder()
             .ring_degree(256)
@@ -301,9 +320,15 @@ fn ckks_pipeline_thread_invariant() {
         let vals: Vec<f64> = (0..8).map(|i| (i as f64) * 0.25 - 1.0).collect();
         let pt = ctx.encode(&vals, ctx.default_scale(), ctx.max_level());
         let ct = ctx.encrypt(&pt, &sk, &mut rng);
-        let prod = ctx.mul(&ct, &ct, &relin);
-        let rotated = ctx.rotate(&prod, 1, &rot);
-        let rescaled = ctx.rescale(&rotated);
+        let prod = ctx
+            .try_mul(&ct, &ct, &relin)
+            .expect("operands share a level and the relin key fits the context");
+        let rotated = ctx
+            .try_rotate(&prod, 1, &rot)
+            .expect("the rotation key matches the step");
+        let rescaled = ctx
+            .try_rescale(&rotated)
+            .expect("ciphertext has a level left to rescale");
         let decoded = ctx.decode(&ctx.decrypt(&rescaled, &sk), vals.len());
         (rescaled, decoded)
     };
@@ -316,10 +341,11 @@ fn ckks_pipeline_thread_invariant() {
 /// The op-level telemetry totals are bit-identical at any thread count:
 /// every counted pass is data-independent limb work dispatched over the
 /// worker pool, so scheduling changes the interleaving but never the
-/// counts. (Relies on all counter-bumping tests in this binary doing their
-/// work under the [`THREADS`] lock, which `serial_vs_parallel` holds.)
+/// counts. (It holds [`COUNTERS`] exclusively, so no other test in this
+/// binary bumps the process-global counters while it measures.)
 #[test]
 fn op_counters_are_thread_invariant() {
+    let _counters = counters_exclusive();
     let run = || {
         let ctx = hoist_ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7AC3);
@@ -383,6 +409,7 @@ fn assert_backend_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) {
 /// 59-bit modulus (the generic vector path), across thread counts.
 #[test]
 fn ntt_roundtrip_backend_invariant() {
+    let _counters = counters_shared();
     for (n, bits) in [(1usize << 10, 50u32), (1 << 13, 50), (1 << 12, 59)] {
         let q = cl_math::generate_ntt_primes(n, bits, 1).expect("prime")[0];
         let table = NttTable::cached(n, q).expect("NTT-friendly prime");
@@ -404,6 +431,7 @@ fn ntt_roundtrip_backend_invariant() {
 /// count.
 #[test]
 fn keyswitch_backend_invariant() {
+    let _counters = counters_shared();
     let params = CkksParams::builder()
         .ring_degree(128)
         .levels(4)
@@ -429,6 +457,7 @@ fn keyswitch_backend_invariant() {
 /// backend-invariant (counters are recorded above the dispatch layer).
 #[test]
 fn bootstrap_step_backend_invariant() {
+    let _counters = counters_exclusive();
     let ctx = hoist_ctx();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB007);
     let sk = ctx.keygen(&mut rng);
@@ -460,6 +489,7 @@ proptest! {
         level in 2usize..5,
         digits in 1usize..4,
     ) {
+        let _counters = counters_shared();
         let ctx = hoist_ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = ctx.keygen(&mut rng);
@@ -495,6 +525,7 @@ proptest! {
 /// roomy-cache run bit-for-bit on every backend and thread count.
 #[test]
 fn hint_cache_thrash_backend_invariant() {
+    let _counters = counters_shared();
     use std::sync::Arc;
 
     use cl_ckks::HintCache;
@@ -553,6 +584,7 @@ fn hint_cache_thrash_backend_invariant() {
 /// a strict superset of the target basis.
 #[test]
 fn keyswitch_below_max_level_thread_invariant() {
+    let _counters = counters_shared();
     let run = || {
         let params = CkksParams::builder()
             .ring_degree(128)
