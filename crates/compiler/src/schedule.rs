@@ -1,7 +1,7 @@
 //! Scheduling: drives the machine through a graph in order, with next-use
 //! chains for Belady residency and per-level keyswitch-variant selection.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use cl_ckks::security::{min_digits_for_level, SecurityLevel};
 use cl_core::{ArchConfig, Machine, Stats, ValueClass};
@@ -180,23 +180,18 @@ pub fn try_compile_and_run(
     for (pos, id) in order.iter().enumerate() {
         position[id.0 as usize] = pos as u32;
     }
-    // ---- Pass 1: uses of each value (node outputs and hints), in
-    // execution order (positions feed Belady's next-use distances).
-    let mut value_uses: HashMap<ValueId, Vec<u32>> = HashMap::new();
-    let mut ksh_ids: HashMap<KshKey, ValueId> = HashMap::new();
-    let mut next_value_id = graph.num_nodes() as u64;
+    // Value ids are dense: node outputs take `0..num_nodes`, then each
+    // keyswitch hint takes the next id, so every per-value table below is
+    // a `Vec` indexed by id.
+    let num_nodes = graph.num_nodes();
     let node_value = |id: NodeId| ValueId(id.0 as u64);
-    let mut ksh_of_node: HashMap<u32, ValueId> = HashMap::new();
-    let mut ksh_max_level: HashMap<ValueId, usize> = HashMap::new();
+    // ---- Pass 1: the hint each node reads, and the highest level each
+    // hint serves (hint `i` is value `num_nodes + i`).
+    let mut ksh_ids: HashMap<KshKey, ValueId> = HashMap::new();
+    let mut ksh_of_node: Vec<Option<ValueId>> = vec![None; num_nodes];
+    let mut ksh_max_level: Vec<usize> = Vec::new();
     for &id in &order {
         let node = graph.node(id);
-        let pos = position[id.0 as usize];
-        for opnd in node.op.operands() {
-            // ModDrop aliases its operand; uses of the alias count as uses
-            // of the underlying value only if the drop were free. We treat
-            // drops as distinct zero-cost values instead (see lowering).
-            value_uses.entry(node_value(opnd)).or_default().push(pos);
-        }
         if node.op.needs_keyswitch() {
             let key = match node.op {
                 HeOp::MulCt(..) => KshKey::Relin,
@@ -205,20 +200,48 @@ pub fn try_compile_and_run(
                 _ => unreachable!(),
             };
             let vid = *ksh_ids.entry(key).or_insert_with(|| {
-                let v = ValueId(next_value_id);
-                next_value_id += 1;
-                v
+                ksh_max_level.push(0);
+                ValueId((num_nodes + ksh_max_level.len() - 1) as u64)
             });
-            ksh_of_node.insert(id.0, vid);
-            let e = ksh_max_level.entry(vid).or_insert(0);
-            *e = (*e).max(node.level);
-            value_uses.entry(vid).or_default().push(pos);
+            ksh_of_node[id.0 as usize] = Some(vid);
+            let lmax = &mut ksh_max_level[vid.0 as usize - num_nodes];
+            *lmax = (*lmax).max(node.level);
         }
     }
-    // ---- Pass 2: declare values and execute in order.
+    // ---- Pass 2: uses of each value in execution order (positions feed
+    // Belady's next-use distances), as one CSR table: the uses of value
+    // `v` are `uses[start[v]..start[v + 1]]`. A ModDrop reads its operand
+    // like any op: drops are distinct zero-cost values (see lowering), not
+    // aliases whose uses would count as uses of the underlying value.
+    let num_values = num_nodes + ksh_max_level.len();
+    let reads_of = |id: NodeId| {
+        let operands = graph.node(id).op.operands().into_iter().map(node_value);
+        operands
+            .chain(ksh_of_node[id.0 as usize])
+            .map(|v| v.0 as usize)
+    };
+    let mut start = vec![0usize; num_values + 1];
+    for &id in &order {
+        for v in reads_of(id) {
+            start[v + 1] += 1;
+        }
+    }
+    for v in 0..num_values {
+        start[v + 1] += start[v];
+    }
+    let mut uses = vec![0u32; start[num_values]];
+    {
+        let mut fill = start.clone();
+        for &id in &order {
+            for v in reads_of(id) {
+                uses[fill[v]] = position[id.0 as usize];
+                fill[v] += 1;
+            }
+        }
+    }
+    let uses_of = |v: ValueId| &uses[start[v.0 as usize]..start[v.0 as usize + 1]];
+    // ---- Pass 3: declare values and execute in order.
     let mut machine = Machine::new(arch.clone());
-    // Hint sizes: seeded (KSHGen) hints store only half.
-    let mut declared_ksh: HashSet<ValueId> = HashSet::new();
     let ct_words = |level: usize| 2 * level as u64 * n as u64;
     for &id in &order {
         let node = graph.node(id);
@@ -232,46 +255,32 @@ pub fn try_compile_and_run(
             _ => ct_words(node.level),
         };
         machine.declare(node_value(id), words, class);
-        if let Some(&ksh) = ksh_of_node.get(&id.0) {
-            if declared_ksh.insert(ksh) {
-                // Size the hint for the highest level it serves; uses at
-                // lower levels read a subset of the same object.
-                let lmax = ksh_max_level[&ksh] as u64;
-                let alg = opts
-                    .ks_policy
-                    .try_algorithm(n, ksh_max_level[&ksh], word_bits)?;
-                let ksh_words = match alg {
-                    KsAlgorithm::Boosted(t) => {
-                        let alpha = lmax.div_ceil(t as u64);
-                        let polys = if arch.has_kshgen { 1 } else { 2 };
-                        t as u64 * polys * (lmax + alpha) * n as u64
-                    }
-                    KsAlgorithm::Standard => {
-                        let polys = if arch.has_kshgen { 1 } else { 2 };
-                        lmax * polys * (lmax + 1) * n as u64
-                    }
-                };
-                machine.declare(ksh, ksh_words, ValueClass::Backed(TrafficClass::Ksh));
-            }
-        }
     }
-    // Track, per value, a cursor into its use list.
-    let mut use_cursor: HashMap<ValueId, usize> = HashMap::new();
-    let next_use_after = |value_uses: &HashMap<ValueId, Vec<u32>>,
-                          cursor: &mut HashMap<ValueId, usize>,
-                          v: ValueId|
-     -> u32 {
-        let uses = value_uses.get(&v).map(|u| u.as_slice()).unwrap_or(&[]);
-        let c = cursor.entry(v).or_insert(0);
+    // Hint sizes: size each hint for the highest level it serves (uses at
+    // lower levels read a subset of the same object); seeded (KSHGen)
+    // hints store only half.
+    for (i, &lmax) in ksh_max_level.iter().enumerate() {
+        let alg = opts.ks_policy.try_algorithm(n, lmax, word_bits)?;
+        let lmax = lmax as u64;
+        let polys = if arch.has_kshgen { 1 } else { 2 };
+        let ksh_words = match alg {
+            KsAlgorithm::Boosted(t) => {
+                let alpha = lmax.div_ceil(t as u64);
+                t as u64 * polys * (lmax + alpha) * n as u64
+            }
+            KsAlgorithm::Standard => lmax * polys * (lmax + 1) * n as u64,
+        };
+        let ksh = ValueId((num_nodes + i) as u64);
+        machine.declare(ksh, ksh_words, ValueClass::Backed(TrafficClass::Ksh));
+    }
+    // Per value, how many of its uses have executed.
+    let mut consumed = vec![0usize; num_values];
+    let mut next_use_after = |v: ValueId| -> u32 {
+        let c = &mut consumed[v.0 as usize];
         *c += 1;
-        uses.get(*c).copied().unwrap_or(u32::MAX)
+        uses_of(v).get(*c).copied().unwrap_or(u32::MAX)
     };
-    let first_use = |value_uses: &HashMap<ValueId, Vec<u32>>, v: ValueId| -> u32 {
-        value_uses
-            .get(&v)
-            .and_then(|u| u.first().copied())
-            .unwrap_or(u32::MAX)
-    };
+    let first_use = |v: ValueId| -> u32 { uses_of(v).first().copied().unwrap_or(u32::MAX) };
     for &id in &order {
         let node = graph.node(id);
         let label = match node.phase {
@@ -287,10 +296,10 @@ pub fn try_compile_and_run(
                 let mut reads = Vec::new();
                 for opnd in node.op.operands() {
                     let v = node_value(opnd);
-                    reads.push((v, next_use_after(&value_uses, &mut use_cursor, v)));
+                    reads.push((v, next_use_after(v)));
                 }
                 let writes = match node.op {
-                    HeOp::ModDrop(..) => vec![(node_value(id), first_use(&value_uses, node_value(id)))],
+                    HeOp::ModDrop(..) => vec![(node_value(id), first_use(node_value(id)))],
                     HeOp::Input | HeOp::PlainInput => vec![],
                     _ => vec![],
                 };
@@ -302,26 +311,24 @@ pub fn try_compile_and_run(
                 let mut reads = Vec::new();
                 for opnd in node.op.operands() {
                     let v = node_value(opnd);
-                    reads.push((v, next_use_after(&value_uses, &mut use_cursor, v)));
+                    reads.push((v, next_use_after(v)));
                 }
-                if let Some(&ksh) = ksh_of_node.get(&id.0) {
-                    reads.push((ksh, next_use_after(&value_uses, &mut use_cursor, ksh)));
+                if let Some(ksh) = ksh_of_node[id.0 as usize] {
+                    reads.push((ksh, next_use_after(ksh)));
                 }
                 let out = node_value(id);
-                let writes = vec![(out, first_use(&value_uses, out))];
+                let writes = vec![(out, first_use(out))];
                 machine.exec(&op, n, &reads, &writes, label);
             }
         }
     }
     // Self-check: every recorded use must have been consumed exactly once
     // (a mismatch desynchronizes next-use chains and corrupts residency).
-    for (v, uses) in &value_uses {
-        let consumed = use_cursor.get(v).copied().unwrap_or(0);
+    for (v, &consumed) in consumed.iter().enumerate() {
+        let recorded = uses_of(ValueId(v as u64)).len();
         debug_assert_eq!(
-            consumed,
-            uses.len(),
-            "value {v:?}: {consumed} reads executed vs {} recorded",
-            uses.len()
+            consumed, recorded,
+            "value {v}: {consumed} reads executed vs {recorded} recorded"
         );
     }
     Ok(machine.finish())

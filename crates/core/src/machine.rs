@@ -5,14 +5,17 @@
 //! tracks one timeline per shared resource — each FU kind, the register-file
 //! ports, the inter-group network, and the HBM interface — plus
 //! register-file *capacity* with Belady (MIN) eviction, the policy the
-//! paper's compiler uses (Sec. 6).
+//! paper's compiler uses (Sec. 6). Resident values are kept in eviction
+//! order, so picking a victim costs O(log R) in the number of resident
+//! values, whatever the size of the program.
 //!
 //! Memory transfers are decoupled from compute (Sec. 4.1: "decoupled data
 //! orchestration"): the HBM timeline advances independently, so loads only
 //! delay an operation when bandwidth (not latency) is the constraint —
 //! exactly the behaviour of ahead-of-use staging.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, HashMap};
 
 use cl_isa::{FuKind, MacroOp, OpLabel, TrafficClass, ValueId};
 
@@ -44,6 +47,33 @@ struct ValueState {
     materialized: bool,
 }
 
+/// A resident value's place in the eviction order: (score, words, id).
+/// The greatest key is the next victim.
+type EvictKey = (u64, u64, Reverse<ValueId>);
+
+impl ValueState {
+    /// Victim selection is Belady's MIN adapted to variable-size,
+    /// variable-cost values: rank by next-use distance, but weight dirty
+    /// intermediates as costlier to displace (eviction writes them back AND
+    /// reloading costs a second transfer), matching the paper's compiler
+    /// preference for evicting clean, memory-backed operands like hints and
+    /// weights. A dead value (no next use, or dying within the current op)
+    /// is free to drop and ranks first. Ties go to the larger value, then
+    /// to the lowest (oldest) id.
+    fn evict_key(&self, id: ValueId) -> EvictKey {
+        let score = if self.next_use == u32::MAX {
+            u64::MAX
+        } else {
+            let dist = u64::from(self.next_use);
+            match self.class {
+                ValueClass::Backed(_) => 2 * dist,
+                ValueClass::Intermediate => dist,
+            }
+        };
+        (score, self.words, Reverse(id))
+    }
+}
+
 /// The machine: executes macro-ops in schedule order.
 ///
 /// The compiler drives it through three calls:
@@ -62,9 +92,14 @@ pub struct Machine {
     /// Completion time of the latest op (running makespan).
     makespan: f64,
     values: HashMap<ValueId, ValueState>,
+    /// The resident values, keyed in eviction order.
+    evict_order: BTreeSet<EvictKey>,
     resident_words: u64,
     stats: Stats,
     op_index: u32,
+    /// Test reference model: pick victims by scanning the value table.
+    #[cfg(test)]
+    reference_scan: bool,
 }
 
 impl Machine {
@@ -78,9 +113,12 @@ impl Machine {
             hbm_free: 0.0,
             makespan: 0.0,
             values: HashMap::new(),
+            evict_order: BTreeSet::new(),
             resident_words: 0,
             stats: Stats::default(),
             op_index: 0,
+            #[cfg(test)]
+            reference_scan: false,
         }
     }
 
@@ -128,52 +166,17 @@ impl Machine {
             "operand set ({needed} words) exceeds register file ({capacity_words} words)"
         );
         while self.resident_words + needed > capacity_words {
-            // Victim selection: Belady's MIN adapted to variable-size,
-            // variable-cost values — rank by next-use distance, but weight
-            // dirty intermediates as costlier to displace (eviction writes
-            // them back AND reloading costs a second transfer), matching
-            // the paper's compiler preference for evicting clean,
-            // memory-backed operands like hints and weights. Remaining ties
-            // go to the lowest (oldest) id, so the choice never depends on
-            // the value table's hash order.
-            let victim = self
+            let victim = self.pop_victim();
+            let v = self
                 .values
-                .iter()
-                .filter(|(_, v)| v.resident)
-                .max_by(|(a_id, a), (b_id, b)| {
-                    let score = |v: &ValueState| {
-                        if v.next_use == u32::MAX {
-                            // Dead (or dying within the current op): free
-                            // to drop, best possible victim.
-                            return f64::INFINITY;
-                        }
-                        let dist = v.next_use as f64;
-                        match v.class {
-                            ValueClass::Backed(_) => dist,
-                            ValueClass::Intermediate => dist * 0.5,
-                        }
-                    };
-                    score(a)
-                        .partial_cmp(&score(b))
-                        .expect("eviction scores are distances or +inf, never NaN")
-                        .then(a.words.cmp(&b.words))
-                        .then(b_id.cmp(a_id))
-                })
-                .map(|(id, _)| *id)
-                .expect("capacity exceeded but nothing resident");
-            let (words, class) = {
-                let v = self
-                    .values
-                    .get_mut(&victim)
-                    .expect("eviction victim was selected from the value table");
-                v.resident = false;
-                (v.words, v.class)
-            };
+                .get_mut(&victim)
+                .expect("eviction victim was selected from the value table");
+            v.resident = false;
+            let (words, class, nu) = (v.words, v.class, v.next_use);
             self.resident_words -= words;
             self.stats.evictions += 1;
             // A dead value (no future use) is discarded for free; a live
             // dirty intermediate must be written back before reuse.
-            let nu = self.values[&victim].next_use;
             if class == ValueClass::Intermediate && nu != u32::MAX {
                 self.stats.evictions_dirty += 1;
                 let dist = nu.saturating_sub(self.op_index);
@@ -183,6 +186,69 @@ impl Machine {
                 self.hbm_free += words as f64 / self.cfg.hbm_words_per_cycle();
                 self.stats.hbm_busy += words as f64 / self.cfg.hbm_words_per_cycle();
             }
+        }
+    }
+
+    /// Removes and returns the greatest resident value in eviction order.
+    fn pop_victim(&mut self) -> ValueId {
+        #[cfg(test)]
+        if self.reference_scan {
+            let victim = self.scan_victim();
+            let key = self.values[&victim].evict_key(victim);
+            self.evict_order.remove(&key);
+            return victim;
+        }
+        let (_, _, Reverse(victim)) = self
+            .evict_order
+            .pop_last()
+            .expect("capacity exceeded but nothing resident");
+        victim
+    }
+
+    /// Reference victim picker for tests: a scan of the whole value table
+    /// with the `f64` scores that [`ValueState::evict_key`] must order
+    /// identically.
+    #[cfg(test)]
+    fn scan_victim(&self) -> ValueId {
+        self.values
+            .iter()
+            .filter(|(_, v)| v.resident)
+            .max_by(|(a_id, a), (b_id, b)| {
+                let score = |v: &ValueState| {
+                    if v.next_use == u32::MAX {
+                        // Dead (or dying within the current op): free
+                        // to drop, best possible victim.
+                        return f64::INFINITY;
+                    }
+                    let dist = v.next_use as f64;
+                    match v.class {
+                        ValueClass::Backed(_) => dist,
+                        ValueClass::Intermediate => dist * 0.5,
+                    }
+                };
+                score(a)
+                    .partial_cmp(&score(b))
+                    .expect("eviction scores are distances or +inf, never NaN")
+                    .then(a.words.cmp(&b.words))
+                    .then(b_id.cmp(a_id))
+            })
+            .map(|(id, _)| *id)
+            .expect("capacity exceeded but nothing resident")
+    }
+
+    /// Applies `f` to a declared value's state, keeping the eviction order
+    /// in step with its residency and next use.
+    fn update(&mut self, id: ValueId, f: impl FnOnce(&mut ValueState)) {
+        let v = self
+            .values
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("use of undeclared value {id:?}"));
+        if v.resident {
+            self.evict_order.remove(&v.evict_key(id));
+        }
+        f(v);
+        if v.resident {
+            self.evict_order.insert(v.evict_key(id));
         }
     }
 
@@ -196,11 +262,7 @@ impl Machine {
             (v.resident, v.words, v.class, v.ready, v.materialized)
         };
         if resident {
-            let v = self
-                .values
-                .get_mut(&id)
-                .expect("value was just read from the table");
-            v.next_use = next_use;
+            self.update(id, |v| v.next_use = next_use);
             return ready;
         }
         // Load it: make room, then stream from HBM.
@@ -221,14 +283,12 @@ impl Machine {
         let done = self.hbm_free + dma_cycles;
         self.hbm_free = done;
         self.stats.hbm_busy += dma_cycles;
-        let v = self
-            .values
-            .get_mut(&id)
-            .expect("value was just read from the table");
-        v.resident = true;
-        v.ready = done;
-        v.next_use = next_use;
-        v.materialized = true;
+        self.update(id, |v| {
+            v.resident = true;
+            v.ready = done;
+            v.next_use = next_use;
+            v.materialized = true;
+        });
         self.resident_words += words;
         done
     }
@@ -237,6 +297,7 @@ impl Machine {
     pub fn release(&mut self, id: ValueId) {
         if let Some(v) = self.values.get_mut(&id) {
             if v.resident {
+                self.evict_order.remove(&v.evict_key(id));
                 v.resident = false;
                 self.resident_words -= v.words;
             }
@@ -265,7 +326,6 @@ impl Machine {
         writes: &[(ValueId, u32)],
         label: OpLabel,
     ) -> f64 {
-        let this_op = self.op_index;
         self.op_index += 1;
         // 1. Bring operands on chip.
         let mut ready = 0.0f64;
@@ -331,17 +391,17 @@ impl Machine {
         *self.stats.phase_cycles.entry(label).or_insert(0.0) += dur;
         // 4. Record outputs.
         for &(id, first_use) in writes {
-            let v = self
-                .values
-                .get_mut(&id)
-                .expect("write target must be declared before execution");
-            if !v.resident {
-                v.resident = true;
-                self.resident_words += v.words;
-            }
-            v.ready = done;
-            v.next_use = first_use;
-            v.materialized = true;
+            let mut loaded = 0;
+            self.update(id, |v| {
+                if !v.resident {
+                    v.resident = true;
+                    loaded = v.words;
+                }
+                v.ready = done;
+                v.next_use = first_use;
+                v.materialized = true;
+            });
+            self.resident_words += loaded;
         }
         // 5. Release dead reads.
         for &(id, next_use) in reads {
@@ -352,7 +412,6 @@ impl Machine {
                 }
             }
         }
-        let _ = this_op;
         done
     }
 
@@ -521,6 +580,96 @@ mod tests {
         m.declare(ValueId(1), 1, ValueClass::Intermediate);
         let op = MacroOp::new().with_fu(FuKind::Crb, 1);
         m.exec(&op, N, &[], &[(ValueId(1), u32::MAX)], OpLabel::App);
+    }
+
+    /// Everything eviction decisions can change, observed between ops:
+    /// evictions, dirty evictions, the dirty-eviction log, traffic by
+    /// class, makespan, HBM free time and resident words.
+    type Observed = (u64, u64, Vec<(u64, u32, u64)>, [f64; 4], f64, f64, u64);
+
+    fn observe(m: &Machine) -> Observed {
+        let traffic = [
+            TrafficClass::Ksh,
+            TrafficClass::Input,
+            TrafficClass::IntermLoad,
+            TrafficClass::IntermStore,
+        ]
+        .map(|c| m.stats.traffic_of(c));
+        (
+            m.stats.evictions,
+            m.stats.evictions_dirty,
+            m.stats.dirty_evict_log.clone(),
+            traffic,
+            m.now(),
+            m.hbm_free,
+            m.resident_words,
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+        #[test]
+        fn eviction_order_matches_full_scan_reference(
+            cap_words in 16u64..48,
+            // (words, kind): kind 0 = intermediate, 1 = input, 2 = hint.
+            values in proptest::collection::vec((1u64..9, 0u8..3), 2..14),
+            // Per op: reads and writes as (value, next-use offset; 20 and
+            // above means dead), and the op's FU passes.
+            ops in proptest::collection::vec(
+                (
+                    proptest::collection::vec((0usize..14, 0u32..24), 0..4),
+                    proptest::collection::vec((0usize..14, 0u32..24), 0..3),
+                    0u64..3,
+                ),
+                1..80,
+            ),
+        ) {
+            let mut cfg = ArchConfig::craterlake();
+            cfg.rf_bytes = (cap_words as f64 * cfg.word_bytes()).ceil() as u64;
+            let mut fast = Machine::new(cfg.clone());
+            let mut reference = Machine { reference_scan: true, ..Machine::new(cfg) };
+            let class = |kind: u8| match kind {
+                0 => ValueClass::Intermediate,
+                1 => ValueClass::Backed(TrafficClass::Input),
+                _ => ValueClass::Backed(TrafficClass::Ksh),
+            };
+            for (i, &(words, kind)) in values.iter().enumerate() {
+                fast.declare(ValueId(i as u64), words, class(kind));
+                reference.declare(ValueId(i as u64), words, class(kind));
+            }
+            let mut produced = vec![false; values.len()];
+            for (op_idx, (reads, writes, passes)) in ops.iter().enumerate() {
+                let next_use = |offset: u32| {
+                    if offset >= 20 { u32::MAX } else { op_idx as u32 + 1 + offset }
+                };
+                let is_intermediate = |v: usize| values[v].1 == 0;
+                // Intermediates are read only once produced and are the only
+                // values written, as in a compiled schedule.
+                let reads: Vec<(ValueId, u32)> = reads
+                    .iter()
+                    .map(|&(v, o)| (v % values.len(), o))
+                    .filter(|&(v, _)| !is_intermediate(v) || produced[v])
+                    .map(|(v, o)| (ValueId(v as u64), next_use(o)))
+                    .collect();
+                let writes: Vec<(ValueId, u32)> = writes
+                    .iter()
+                    .map(|&(v, o)| (v % values.len(), o))
+                    .filter(|&(v, _)| is_intermediate(v))
+                    .map(|(v, o)| {
+                        produced[v] = true;
+                        (ValueId(v as u64), next_use(o))
+                    })
+                    .collect();
+                let op = MacroOp::new().with_fu(FuKind::Add, *passes);
+                let a = fast.exec(&op, N, &reads, &writes, OpLabel::App);
+                let b = reference.exec(&op, N, &reads, &writes, OpLabel::App);
+                proptest::prop_assert_eq!(a, b);
+                proptest::prop_assert_eq!(observe(&fast), observe(&reference));
+                let resident = fast.values.values().filter(|v| v.resident).count();
+                proptest::prop_assert_eq!(fast.evict_order.len(), resident);
+            }
+            proptest::prop_assert_eq!(fast.finish().cycles, reference.finish().cycles);
+        }
     }
 
     #[test]

@@ -5,10 +5,12 @@
 #     tests).
 #  2. Full workspace test suite, plus the standalone benchmark package's
 #     tests.
-#  3. Fault-recovery smoke: a bootstrapped pipeline under a fixed-seed
+#  3. Paper tables: Table 3 and Table 4 must reproduce the checked-in
+#     text under benchmarks/tables/ byte for byte.
+#  4. Fault-recovery smoke: a bootstrapped pipeline under a fixed-seed
 #     fault plan must converge, with >= 1 recorded recovery, to the clean
 #     run's bit-identical output (examples/fault_recovery_smoke.rs).
-#  4. Lint gate on every library target: warnings are errors and bare
+#  5. Lint gate on every library target: warnings are errors and bare
 #     `unwrap()` is banned (tests and binaries are exempt — library code
 #     must name the violated invariant via `expect` or propagate with
 #     `?`/`FheResult`).
@@ -17,6 +19,14 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: release build =="
 cargo build --release --workspace --all-targets
+
+echo "== tier-1: paper tables =="
+# The cycle model is deterministic, so Tables 3 and 4 are exact outputs:
+# any change to the compiler's schedule or the machine's residency model
+# that moves a number fails here. A change meant to move them regenerates
+# the files with the same commands.
+diff -u benchmarks/tables/table3.txt <(cargo run -q --release -p cl-bench --bin table3)
+diff -u benchmarks/tables/table4.txt <(cargo run -q --release -p cl-bench --bin table4)
 
 echo "== tier-1: tests =="
 cargo test -q --workspace
